@@ -14,8 +14,8 @@
 ///  * a full optimization run (solve + match + rewrite);
 ///  * pure-analysis labelling.
 ///
-/// `bench_engine --gate` switches to the CI gate: the engine's RPO +
-/// ψ2-memoized solver is checked fact-for-fact against a deliberately
+/// `bench_engine --gate` switches to the CI gate: the engine's bitset,
+/// RPO, ψ2-memoized solver is checked fact-for-fact against a deliberately
 /// naive FIFO-worklist reference built only on the public core/Formula.h
 /// evaluation API, then timed against it. The gate fails (exit 1) on any
 /// AtNode divergence or if the measured speedup drops below the floor
@@ -32,11 +32,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <set>
 #include <string>
 
 using namespace cobalt;
@@ -155,10 +157,11 @@ BENCHMARK(BM_TaintAnalysis)->Arg(25)->Arg(100)->Arg(400);
 /// satisfyFormula / evalFormula). It computes the same greatest fixed
 /// point as engine::solveGuard — OUT starts at the fact universe, IN is
 /// the ∩ over flow-predecessors, roots pin IN = ∅ — but with none of the
-/// engine's strategy: a FIFO worklist instead of reverse post-order
-/// sweeps, and a fresh ψ2 evaluation per (node, θ) visit instead of the
-/// projection memo. Agreement is the correctness gate; the time ratio is
-/// the performance gate.
+/// engine's strategy: std::set facts instead of interned bitsets, ψ1
+/// satisfied at every node, a FIFO worklist instead of reverse
+/// post-order sweeps, and a fresh ψ2 evaluation per (node, θ) visit
+/// instead of the projection memo. Agreement is the correctness gate;
+/// the time ratio is the performance gate.
 struct ReferenceSolution {
   std::vector<std::set<Substitution>> AtNode;
   uint64_t Visits = 0;
@@ -274,8 +277,9 @@ ReferenceSolution referenceSolveGuard(Direction Dir, const Guard &Gd,
 
 struct GateCase {
   const char *Name;
-  Direction Dir;
-  unsigned Stmts;
+  Optimization (*Rule)();
+  unsigned Size; ///< Generator size (statements before control flow).
+  int Stmts = 0; ///< Statements of the generated procedure.
   double EngineSeconds = 0;
   double ReferenceSeconds = 0;
   double Speedup = 0;
@@ -290,22 +294,23 @@ double secondsSince(std::chrono::steady_clock::time_point Start) {
 }
 
 int runGate(bool Quick) {
-  // Floors intentionally far below the measured speedups (see
-  // EXPERIMENTS.md, experiment E6-gate) so only a real regression —
-  // e.g. losing the RPO schedule or the ψ2 memo — trips them, not
-  // machine-to-machine noise. The geomean carries the headline (the
-  // smallest programs finish in milliseconds and are noise-dominated);
-  // the min floor just demands the engine never lose to the naive
-  // reference outright.
-  constexpr double GeomeanFloor = 3.0;
-  constexpr double MinFloor = 1.0;
+  // Floors at about half the measured speedups (see EXPERIMENTS.md,
+  // experiment E6-gate: geomean ~40x, min ~5x) so a real regression —
+  // e.g. losing the bitset facts, the RPO schedule, the ψ2 memo or the
+  // shared GEN — trips them, not machine-to-machine noise. The geomean
+  // carries the headline; the min is set by the smallest program, which
+  // finishes in milliseconds and is noise-dominated.
+  constexpr double GeomeanFloor = 20.0;
+  constexpr double MinFloor = 3.0;
 
   std::vector<GateCase> Cases = {
-      {"constProp/forward/25", Direction::D_Forward, 25},
-      {"constProp/forward/100", Direction::D_Forward, 100},
-      {"constProp/forward/400", Direction::D_Forward, 400},
-      {"deadAssignElim/backward/25", Direction::D_Backward, 25},
-      {"deadAssignElim/backward/100", Direction::D_Backward, 100},
+      {"constProp/forward/25", opts::constProp, 25},
+      {"constProp/forward/100", opts::constProp, 100},
+      {"constProp/forward/260", opts::constProp, 260},
+      {"constProp/forward/400", opts::constProp, 400},
+      {"constFoldAdd/forward/100", opts::constFoldAdd, 100},
+      {"deadAssignElim/backward/25", opts::deadAssignElim, 25},
+      {"deadAssignElim/backward/100", opts::deadAssignElim, 100},
   };
   if (Quick)
     Cases.resize(2);
@@ -318,31 +323,35 @@ int runGate(bool Quick) {
   double MinSpeedup = -1;
   double LogSum = 0;
   for (GateCase &C : Cases) {
-    Program Prog = makeProgram(C.Stmts);
+    Program Prog = makeProgram(C.Size);
     const Procedure &Main = *Prog.findProc("main");
+    C.Stmts = Main.size();
     Cfg G(Main);
-    Optimization O = C.Dir == Direction::D_Forward
-                         ? opts::constProp()
-                         : opts::deadAssignElim();
+    Optimization O = C.Rule();
+    const Direction Dir = O.Pat.Dir;
 
     // Warm once (page in code + allocator), then time: min of 3 engine
     // runs vs one reference run (the reference is the slow side; its
     // run-to-run noise only makes the gate easier to pass).
-    GuardSolution Eng =
-        solveGuard(C.Dir, O.Pat.G, G, registry(), nullptr);
+    GuardSolution Eng = solveGuard(Dir, O.Pat.G, G, registry(), nullptr);
     C.EngineSeconds = 1e9;
     for (int Rep = 0; Rep < 3; ++Rep) {
       auto T0 = std::chrono::steady_clock::now();
-      Eng = solveGuard(C.Dir, O.Pat.G, G, registry(), nullptr);
+      Eng = solveGuard(Dir, O.Pat.G, G, registry(), nullptr);
       C.EngineSeconds = std::min(C.EngineSeconds, secondsSince(T0));
     }
     auto T1 = std::chrono::steady_clock::now();
     ReferenceSolution Ref =
-        referenceSolveGuard(C.Dir, O.Pat.G, G, registry());
+        referenceSolveGuard(Dir, O.Pat.G, G, registry());
     C.ReferenceSeconds = secondsSince(T1);
 
-    C.Match = Eng.AtNode == Ref.AtNode;
-    for (const std::set<Substitution> &Facts : Eng.AtNode)
+    C.Match = std::equal(Eng.AtNode.begin(), Eng.AtNode.end(),
+                         Ref.AtNode.begin(), Ref.AtNode.end(),
+                         [](const FactSet &E, const std::set<Substitution> &R) {
+                           return std::equal(E.begin(), E.end(), R.begin(),
+                                             R.end());
+                         });
+    for (const FactSet &Facts : Eng.AtNode)
       C.Facts += Facts.size();
     C.Speedup = C.EngineSeconds > 0
                     ? C.ReferenceSeconds / C.EngineSeconds
@@ -351,9 +360,9 @@ int runGate(bool Quick) {
     if (MinSpeedup < 0 || C.Speedup < MinSpeedup)
       MinSpeedup = C.Speedup;
     LogSum += std::log(std::max(C.Speedup, 1e-9));
-    std::printf("  %-28s engine %8.4f s  reference %8.4f s  "
+    std::printf("  %-28s stmts %5d  engine %8.4f s  reference %8.4f s  "
                 "speedup %6.1fx  facts %6llu  %s\n",
-                C.Name, C.EngineSeconds, C.ReferenceSeconds, C.Speedup,
+                C.Name, C.Stmts, C.EngineSeconds, C.ReferenceSeconds, C.Speedup,
                 static_cast<unsigned long long>(C.Facts),
                 C.Match ? "match" : "MISMATCH");
   }
@@ -372,10 +381,11 @@ int runGate(bool Quick) {
   for (size_t I = 0; I < Cases.size(); ++I) {
     const GateCase &C = Cases[I];
     std::snprintf(Buf, sizeof(Buf),
-                  "    {\"name\": \"%s\", \"stmts\": %u, "
+                  "    {\"name\": \"%s\", \"size\": %u, \"stmts\": %d, "
                   "\"engine_seconds\": %.6f, \"reference_seconds\": %.6f, "
                   "\"speedup\": %.2f, \"facts\": %llu, \"match\": %s}%s\n",
-                  C.Name, C.Stmts, C.EngineSeconds, C.ReferenceSeconds,
+                  C.Name, C.Size, C.Stmts, C.EngineSeconds,
+                  C.ReferenceSeconds,
                   C.Speedup, static_cast<unsigned long long>(C.Facts),
                   C.Match ? "true" : "false",
                   I + 1 < Cases.size() ? "," : "");

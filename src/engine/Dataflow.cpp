@@ -9,13 +9,79 @@
 #include "support/Telemetry.h"
 
 #include <algorithm>
-#include <deque>
+#include <bit>
+#include <map>
+#include <string>
 
 using namespace cobalt;
 using namespace cobalt::engine;
 using namespace cobalt::ir;
 
 namespace {
+
+using Word = uint64_t;
+using Bits = std::vector<Word>;
+constexpr size_t WordBits = 64;
+
+size_t wordsFor(size_t NumIds) { return (NumIds + WordBits - 1) / WordBits; }
+
+bool hasId(const Bits &B, size_t Id) {
+  return (B[Id / WordBits] >> (Id % WordBits)) & 1;
+}
+
+void setId(Bits &B, size_t Id) {
+  B[Id / WordBits] |= Word(1) << (Id % WordBits);
+}
+
+size_t popcount(const Bits &B) {
+  size_t N = 0;
+  for (Word W : B)
+    N += static_cast<size_t>(std::popcount(W));
+  return N;
+}
+
+/// Calls \p Fn with every member id of \p B, in ascending order.
+template <typename FnT> void forEachId(const Bits &B, FnT &&Fn) {
+  for (size_t W = 0; W < B.size(); ++W)
+    for (Word Rest = B[W]; Rest; Rest &= Rest - 1)
+      Fn(W * WordBits + static_cast<size_t>(std::countr_zero(Rest)));
+}
+
+/// The set of ids [0, NumIds).
+Bits fullSet(size_t NumIds) {
+  Bits B(wordsFor(NumIds), ~Word(0));
+  if (size_t Tail = NumIds % WordBits)
+    B.back() = (Word(1) << Tail) - 1;
+  return B;
+}
+
+/// Whether ψ is known to hold under the same substitutions at every
+/// node: it is built from computes, =, true/false and ¬/∧/∨ only, and no
+/// term names currStmt. stmt, predicate labels, analysis labels and case
+/// are treated as node-dependent.
+bool nodeIndependent(const Formula &F) {
+  auto NotCurrStmt = [](const Term &T) {
+    return !std::holds_alternative<CurrStmtTerm>(T);
+  };
+  switch (F.K) {
+  case Formula::Kind::FK_True:
+  case Formula::Kind::FK_False:
+    return true;
+  case Formula::Kind::FK_Not:
+  case Formula::Kind::FK_And:
+  case Formula::Kind::FK_Or:
+    return std::all_of(F.Kids.begin(), F.Kids.end(),
+                       [](const FormulaPtr &K) { return nodeIndependent(*K); });
+  case Formula::Kind::FK_Eq:
+    return NotCurrStmt(F.LhsT) && NotCurrStmt(F.RhsT);
+  case Formula::Kind::FK_Label:
+    return F.LabelName == "computes" &&
+           std::all_of(F.Args.begin(), F.Args.end(), NotCurrStmt);
+  case Formula::Kind::FK_Case:
+    return false;
+  }
+  return false;
+}
 
 /// Direction-abstracted view of the CFG: "pred"/"succ" follow the guard's
 /// flow direction, and "roots" are the nodes whose IN fact is empty by
@@ -60,6 +126,44 @@ struct DirectedView {
 
 } // namespace
 
+//===----------------------------------------------------------------------===//
+// FactSet.
+//===----------------------------------------------------------------------===//
+
+size_t FactSet::size() const { return popcount(Words); }
+
+bool FactSet::empty() const {
+  return std::all_of(Words.begin(), Words.end(),
+                     [](Word W) { return W == 0; });
+}
+
+size_t FactSet::count(const Substitution &Theta) const {
+  if (!Facts)
+    return 0;
+  auto It = std::lower_bound(Facts->begin(), Facts->end(), Theta);
+  if (It == Facts->end() || Theta < *It)
+    return 0;
+  size_t Id = static_cast<size_t>(It - Facts->begin());
+  return Id / WordBits < Words.size() && hasId(Words, Id);
+}
+
+size_t FactSet::nextId(size_t From) const {
+  size_t W = From / WordBits;
+  if (W >= Words.size())
+    return Words.size() * WordBits;
+  Word Rest = Words[W] & (~Word(0) << (From % WordBits));
+  while (!Rest) {
+    if (++W == Words.size())
+      return W * WordBits;
+    Rest = Words[W];
+  }
+  return W * WordBits + static_cast<size_t>(std::countr_zero(Rest));
+}
+
+//===----------------------------------------------------------------------===//
+// The solver.
+//===----------------------------------------------------------------------===//
+
 GuardSolution engine::solveGuard(Direction Dir, const Guard &Gd,
                                  const Cfg &G,
                                  const LabelRegistry &Registry,
@@ -74,50 +178,92 @@ GuardSolution engine::solveGuard(Direction Dir, const Guard &Gd,
     return NodeContext{&P, I, &Registry, AnalysisLabeling, &Univ};
   };
 
-  // GEN(n): substitutions making ψ1 true at n. U = ∪ GEN is the finite
-  // universe of facts; OUT is initialized to U (optimistic greatest fixed
-  // point for the ∩ meet).
-  std::vector<std::set<Substitution>> Gen(N);
-  std::set<Substitution> U;
+  // GEN(n): substitutions making ψ1 true at n. A node-independent ψ1 is
+  // satisfied once, and that GEN is shared by every live node.
+  const bool SharedGen = nodeIndependent(*Gd.Psi1);
+  std::vector<std::vector<Substitution>> GenFacts(SharedGen ? 1 : N);
+  auto Table = std::make_shared<FactSet::Table>();
   for (int I = 0; I < N; ++I) {
     if (!Live[I])
       continue;
-    for (Substitution &S : satisfyFormula(*Gd.Psi1, makeCtx(I), {})) {
-      U.insert(S);
-      Gen[I].insert(std::move(S));
-    }
+    std::vector<Substitution> &Gen = GenFacts[SharedGen ? 0 : I];
+    Gen = satisfyFormula(*Gd.Psi1, makeCtx(I), {});
+    Table->insert(Table->end(), Gen.begin(), Gen.end());
+    if (SharedGen)
+      break;
   }
 
-  // ψ2 filter, memoized per (node, θ restricted to ψ2's free variables):
-  // facts differing only in variables ψ2 does not mention share one
-  // evaluation, which collapses the per-iteration cost from
-  // O(nodes × facts) formula walks to O(nodes × distinct projections).
+  // Interning: U = ∪ GEN in Substitution order is the fact table, and a
+  // fact's id is its position in it. OUT starts at U (optimistic greatest
+  // fixed point for the ∩ meet). Duplicates are dropped by the ordering's
+  // equivalence, as a std::set would.
+  std::sort(Table->begin(), Table->end());
+  Table->erase(std::unique(Table->begin(), Table->end(),
+                           [](const Substitution &A, const Substitution &B) {
+                             return !(A < B);
+                           }),
+               Table->end());
+  const FactSet::Table &Facts = *Table;
+  const size_t NumWords = wordsFor(Facts.size());
+  std::vector<Bits> Gen(GenFacts.size());
+  for (size_t I = 0; I < GenFacts.size(); ++I) {
+    if (GenFacts[I].empty())
+      continue;
+    Gen[I].assign(NumWords, 0);
+    for (const Substitution &S : GenFacts[I])
+      setId(Gen[I], static_cast<size_t>(
+                        std::lower_bound(Facts.begin(), Facts.end(), S) -
+                        Facts.begin()));
+  }
+  GenFacts.clear();
+
+  // ψ2 filter, memoized per (node, projection id): a fact's projection is
+  // θ restricted to ψ2's free variables, so facts differing only in
+  // variables ψ2 does not mention share one evaluation. Projection ids
+  // are computed once per solve.
   std::vector<std::pair<std::string, MetaKind>> Psi2Frees;
   collectFreeMetas(*Gd.Psi2, Psi2Frees);
-  std::vector<std::map<std::string, bool>> Psi2Cache(N);
-  auto survivesPsi2 = [&](int I, const Substitution &Theta) {
-    std::string Key;
-    for (const auto &[Name, Kind] : Psi2Frees) {
-      (void)Kind;
-      const Binding *B = Theta.lookup(Name);
-      Key += B ? B->str() : "?";
-      Key += '\x1f';
+  std::vector<size_t> ProjOf(Facts.size());
+  size_t NumProj = 0;
+  {
+    std::map<std::string, size_t> ProjIds;
+    for (size_t F = 0; F < Facts.size(); ++F) {
+      std::string Key;
+      for (const auto &[Name, Kind] : Psi2Frees) {
+        (void)Kind;
+        const Binding *B = Facts[F].lookup(Name);
+        Key += B ? B->str() : "?";
+        Key += '\x1f';
+      }
+      ProjOf[F] = ProjIds.emplace(std::move(Key), NumProj).first->second;
+      NumProj = ProjIds.size();
     }
-    auto It = Psi2Cache[I].find(Key);
-    if (It != Psi2Cache[I].end())
-      return It->second;
-    auto R = evalFormula(*Gd.Psi2, makeCtx(I), Theta);
-    bool Ok = R.has_value() && *R; // undeterminable => conservatively drop
-    Psi2Cache[I].emplace(std::move(Key), Ok);
-    return Ok;
+  }
+  struct Psi2Memo {
+    Bits Known, Keep;
+  };
+  std::vector<Psi2Memo> Memo(N);
+  auto survivesPsi2 = [&](int I, size_t F) {
+    Psi2Memo &M = Memo[I];
+    if (M.Known.empty()) {
+      M.Known.assign(wordsFor(NumProj), 0);
+      M.Keep.assign(wordsFor(NumProj), 0);
+    }
+    size_t Proj = ProjOf[F];
+    if (!hasId(M.Known, Proj)) {
+      setId(M.Known, Proj);
+      auto R = evalFormula(*Gd.Psi2, makeCtx(I), Facts[F]);
+      if (R.has_value() && *R) // undeterminable => conservatively drop
+        setId(M.Keep, Proj);
+    }
+    return hasId(M.Keep, Proj);
   };
 
-  GuardSolution Sol;
-  Sol.AtNode.assign(N, {});
-  std::vector<std::set<Substitution>> Out(N);
+  std::vector<Bits> In(N), Out(N);
+  const Bits All = fullSet(Facts.size());
   for (int I = 0; I < N; ++I)
     if (Live[I])
-      Out[I] = U;
+      Out[I] = All;
 
   // Evaluation order: reverse post-order over the flow direction.
   // Round-robin sweeps in RPO converge in O(loop-nesting-depth) passes
@@ -161,6 +307,8 @@ GuardSolution engine::solveGuard(Direction Dir, const Guard &Gd,
   uint64_t MeetDropped = 0;
   uint64_t Psi2Dropped = 0;
 
+  GuardSolution Sol;
+  Bits NewOut;
   bool Changed = true;
   while (Changed) {
     Changed = false;
@@ -168,47 +316,52 @@ GuardSolution engine::solveGuard(Direction Dir, const Guard &Gd,
       ++Sol.Iterations;
 
       // IN = ∩ over flow-predecessors' OUT; roots have IN = ∅.
-      std::set<Substitution> In;
-      if (!View.isRoot(I)) {
+      Bits &InI = In[I];
+      if (View.isRoot(I)) {
+        InI.assign(NumWords, 0);
+      } else {
         bool First = true;
         size_t InitialIn = 0;
         for (int Pd : View.flowPreds(I)) {
           if (!Live[Pd])
             continue; // no constraining path through a dead node
           if (First) {
-            In = Out[Pd];
-            InitialIn = In.size();
+            InI = Out[Pd];
+            InitialIn = popcount(InI);
             First = false;
           } else {
-            std::set<Substitution> Tmp;
-            std::set_intersection(In.begin(), In.end(), Out[Pd].begin(),
-                                  Out[Pd].end(),
-                                  std::inserter(Tmp, Tmp.begin()));
-            In = std::move(Tmp);
+            for (size_t W = 0; W < NumWords; ++W)
+              InI[W] &= Out[Pd][W];
           }
-          if (In.empty())
-            break;
         }
         // A live non-root node always has at least one live flow-pred
         // (it was reached from a root), so First is false here.
-        MeetDropped += InitialIn - In.size();
+        MeetDropped += InitialIn - popcount(InI);
       }
-      Sol.AtNode[I] = In;
 
-      // OUT = {θ ∈ IN : ψ2 holds} ∪ GEN.
-      std::set<Substitution> NewOut = Gen[I];
-      for (const Substitution &Theta : In)
-        if (survivesPsi2(I, Theta))
-          NewOut.insert(Theta);
+      // OUT = GEN ∪ {θ ∈ IN : ψ2 holds}.
+      NewOut.assign(NumWords, 0);
+      forEachId(InI, [&](size_t F) {
+        if (survivesPsi2(I, F))
+          setId(NewOut, F);
         else
           ++Psi2Dropped;
+      });
+      const Bits &GenI = Gen[SharedGen ? 0 : I];
+      for (size_t W = 0; W < GenI.size(); ++W)
+        NewOut[W] |= GenI[W];
 
       if (NewOut != Out[I]) {
-        Out[I] = std::move(NewOut);
+        std::swap(Out[I], NewOut);
         Changed = true;
       }
     }
   }
+
+  Sol.AtNode.resize(N);
+  for (int I = 0; I < N; ++I)
+    if (Live[I])
+      Sol.AtNode[I] = FactSet(Table, std::move(In[I]));
 
   if (support::Telemetry *T = support::Telemetry::active()) {
     T->Metrics.add("dataflow.solves");

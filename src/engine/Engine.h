@@ -30,7 +30,7 @@ namespace engine {
 struct RunStats {
   unsigned DeltaSize = 0;     ///< |Δ| (legal transformations).
   unsigned AppliedCount = 0;  ///< |choose(Δ, p) ∩ Δ|.
-  unsigned FixpointIters = 0; ///< Worklist iterations of the guard solve.
+  unsigned FixpointIters = 0; ///< Node visits of the guard solve.
   /// Statement indices actually rewritten, in application order
   /// (deduplicated — one winner per index), and legal Δ indices that
   /// were *not* rewritten (choose declined, lost the per-index race, or

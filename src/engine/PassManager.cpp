@@ -222,10 +222,15 @@ std::vector<PassReport> PassManager::runPasses(const std::vector<Pass> &ToRun,
   };
   std::vector<ProcJob> Jobs(Prog.Procs.size());
 
+  // Pool threads do not inherit this thread's trace-ID TLS: capture the
+  // caller's request trace ID here and re-establish it in every job.
+  const uint64_t RunTraceId = support::TraceRecorder::currentTraceId();
+
   auto RunProc = [&](size_t PI) {
     ProcJob &Job = Jobs[PI];
     Job.Snapshot = Prog;
     Procedure &P = Job.Snapshot.Procs[PI];
+    support::TraceIdScope IdScope(RunTraceId);
     support::TraceSpan ProcSpan("engine", "proc");
     if (ProcSpan.enabled())
       ProcSpan.arg("proc", P.Name);

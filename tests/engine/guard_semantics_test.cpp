@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 
 using namespace cobalt;
@@ -192,6 +193,32 @@ TEST_P(GuardSemanticsTest, CseGuardMatchesOracle) {
                 fNot(labelF("mayDef", {tExpr("X")})))};
   compareWithOracle(Direction::D_Forward, Gd, *Prog.findProc("main"),
                     Registry);
+}
+
+/// A computes-only ψ1 takes the engine's shared-GEN path (satisfied once,
+/// not per node). It must agree with the path oracle in both directions,
+/// and node for node with the per-node evaluation of the same formula
+/// (conjoining currStmt = currStmt makes it node-dependent without
+/// changing its meaning).
+TEST_P(GuardSemanticsTest, ComputesGuardMatchesOracleAndPerNodeGen) {
+  GenOptions Options{.NumVars = 3, .NumStmts = 8, .WithLoops = false};
+  Program Prog = generateProgram(Options, GetParam());
+  const Procedure &P = *Prog.findProc("main");
+  FormulaPtr Computes = labelF("computes", {tExpr("C1 + C2"), tExpr("C3")});
+  FormulaPtr PerNode = fAnd(Computes, fEq(tCurrStmt(), tCurrStmt()));
+  for (Direction Dir : {Direction::D_Forward, Direction::D_Backward}) {
+    Guard Gd{Computes, fTrue()};
+    compareWithOracle(Dir, Gd, P, Registry);
+    Cfg G(P);
+    GuardSolution Shared = solveGuard(Dir, Gd, G, Registry, nullptr);
+    GuardSolution Each =
+        solveGuard(Dir, Guard{PerNode, Gd.Psi2}, G, Registry, nullptr);
+    for (int I = 0; I < G.size(); ++I)
+      EXPECT_TRUE(std::equal(Shared.AtNode[I].begin(),
+                             Shared.AtNode[I].end(), Each.AtNode[I].begin(),
+                             Each.AtNode[I].end()))
+          << "node " << I << "\n" << toString(P);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GuardSemanticsTest,

@@ -175,6 +175,58 @@ TEST(RequestTrace, SameTelemetryAcrossJobWidthsThroughDaemon) {
   EXPECT_EQ(Sequential.Counters, Parallel.Counters);
 }
 
+/// The pass manager fans procedures out to pool threads, which do not
+/// inherit the caller's trace ID: every engine span (proc, pass) of an
+/// opt request must still carry that request's ID, at every --jobs width.
+TEST(RequestTrace, EngineSpansCarryTheRunRequestTraceId) {
+  if (!support::telemetryCompiledIn())
+    GTEST_SKIP() << "telemetry compiled out (-DCOBALT_TELEMETRY=OFF)";
+  const char *ThreeProcs = R"(
+proc helper(p) {
+  decl c;
+  c := 4;
+  p := c;
+  return p;
+}
+proc twice(q) {
+  decl d;
+  d := q + 0;
+  return d;
+}
+proc main(n) {
+  decl a;
+  decl b;
+  a := 2;
+  b := a;
+  n := helper(b);
+  n := twice(n);
+  return n;
+}
+)";
+  for (unsigned Jobs : {1u, 4u}) {
+    SCOPED_TRACE("jobs " + std::to_string(Jobs));
+    std::shared_ptr<api::CobaltService> Svc = makeService(Jobs);
+    auto Prog = Svc->parseProgram(ThreeProcs);
+    ASSERT_TRUE(static_cast<bool>(Prog));
+    api::PipelineRequest Req;
+    Req.Prog = std::move(*Prog);
+    Req.Jobs = Jobs;
+    Req.TraceId = 0xE1617E00 + Jobs;
+    const uint64_t TraceId = Req.TraceId;
+    ASSERT_TRUE(Svc->run(std::move(Req)).ok());
+
+    unsigned EngineSpans = 0;
+    for (const support::TraceEvent &E : Svc->telemetry()->Trace.snapshot()) {
+      if (std::string_view(E.Cat) != "engine")
+        continue;
+      ++EngineSpans;
+      EXPECT_EQ(E.TraceId, TraceId) << "engine/" << E.Name;
+    }
+    // Three procedures × (one proc span + one span per pass).
+    EXPECT_GE(EngineSpans, 9u);
+  }
+}
+
 TEST(RequestTrace, WorkerSpansMergeUnderInjectedCrashes) {
   if (!support::telemetryCompiledIn())
     GTEST_SKIP() << "telemetry compiled out (-DCOBALT_TELEMETRY=OFF)";

@@ -363,6 +363,21 @@ std::string adversaryJson(const Options &Opts,
   return Out;
 }
 
+/// Writes the accepted --trace-out / --metrics-out files (when telemetry
+/// is on); a write failure is a warning, not a campaign failure.
+void writeTelemetryFiles(const Options &Opts, api::CobaltContext &Ctx) {
+  support::Telemetry *T = Ctx.telemetry();
+  if (!T)
+    return;
+  if (!Opts.TraceOut.empty() && !writeTextFile(Opts.TraceOut, T->Trace.json()))
+    std::fprintf(stderr, "cobalt-fuzz: warning: cannot write '%s'\n",
+                 Opts.TraceOut.c_str());
+  if (!Opts.MetricsOut.empty() &&
+      !writeTextFile(Opts.MetricsOut, T->Metrics.json()))
+    std::fprintf(stderr, "cobalt-fuzz: warning: cannot write '%s'\n",
+                 Opts.MetricsOut.c_str());
+}
+
 /// `cobalt-fuzz --validate`: the adversarial campaign of DESIGN.md §14.
 /// The fuzzer switches sides — instead of probing the checker it
 /// miscompiles programs and tries to sneak them past the validator.
@@ -374,6 +389,9 @@ int runValidateMode(const Options &Opts, api::CobaltContext &Ctx,
   AO.Minimize = Opts.Fuzz.Minimize;
 
   const auto Start = std::chrono::steady_clock::now();
+  // The campaign drives the validator directly rather than through a
+  // service call, so install the telemetry the service calls would.
+  support::TelemetryScope Scope(Ctx.telemetry());
   validate::AdversarySummary Sum =
       validate::runAdversary(Targets, AO, Ctx.service()->prover());
   double Elapsed =
@@ -441,14 +459,18 @@ int main(int Argc, char **Argv) {
   if (Opts.Check)
     recomputeVerdicts(Ctx, Targets);
 
-  if (Opts.Validate)
-    return runValidateMode(Opts, Ctx, Targets);
+  if (Opts.Validate) {
+    int Exit = runValidateMode(Opts, Ctx, Targets);
+    writeTelemetryFiles(Opts, Ctx);
+    return Exit;
+  }
 
   const auto Start = std::chrono::steady_clock::now();
   fuzz::FuzzSummary Sum = Ctx.runFuzz(Targets, Opts.Fuzz);
   double Elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
           .count();
+  writeTelemetryFiles(Opts, Ctx);
 
   std::vector<std::string> MissingExpected;
   for (const fuzz::FuzzTarget &T : Targets)
@@ -460,17 +482,6 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "cobalt-fuzz: %s\n", Err->c_str());
       return ExitUsage;
     }
-
-  if (support::Telemetry *T = Ctx.telemetry()) {
-    if (!Opts.TraceOut.empty() &&
-        !writeTextFile(Opts.TraceOut, T->Trace.json()))
-      std::fprintf(stderr, "cobalt-fuzz: warning: cannot write '%s'\n",
-                   Opts.TraceOut.c_str());
-    if (!Opts.MetricsOut.empty() &&
-        !writeTextFile(Opts.MetricsOut, T->Metrics.json()))
-      std::fprintf(stderr, "cobalt-fuzz: warning: cannot write '%s'\n",
-                   Opts.MetricsOut.c_str());
-  }
 
   // Throughput carries wall-clock noise: stderr only, never the JSON.
   std::fprintf(stderr,
