@@ -13,7 +13,10 @@
 ///     per-obligation cost of the worker path is one fork-inherited
 ///     closure call plus a framed request/response round-trip — it must
 ///     stay in the noise next to any real prover query. Gate: < 15%
-///     extra wall time at --jobs 4.
+///     extra wall time at --jobs 4, taken as the median over five
+///     interleaved (in-process, workers) pairs — a single pair on a
+///     shared VM read anywhere from +4.5% to +18.8% on one unchanged
+///     build, so one sample decided the gate by luck.
 ///
 ///  2. **Recovery latency** — with a deterministic crash storm injected
 ///     into the workers, how long a replacement fork takes (the
@@ -36,6 +39,7 @@
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -169,23 +173,37 @@ int main(int argc, char **argv) {
   std::printf("%6s %10s %12s %8s %10s %10s\n", "jobs", "mode",
               "obligations", "proven", "wall(s)", "overhead");
 
-  double OverheadAt4 = 0.0;
+  // One pair at --jobs 1 for the table; five interleaved pairs at
+  // --jobs 4 for the gate. Interleaving puts both modes of a pair in the
+  // same stretch of machine load, and the median drops the pairs a
+  // neighbour's burst landed on.
+  constexpr unsigned GatePairs = 5;
   std::vector<SuiteRun> Runs;
+  std::vector<double> Overheads;
   for (unsigned Jobs : {1u, 4u}) {
-    SuiteRun In = runSuiteAt(BC, Jobs, /*Isolated=*/false);
-    SuiteRun Out = runSuiteAt(BC, Jobs, /*Isolated=*/true);
-    double Overhead =
-        In.Seconds > 0 ? (Out.Seconds - In.Seconds) / In.Seconds : 0.0;
-    if (Jobs == 4)
-      OverheadAt4 = Overhead;
-    std::printf("%6u %10s %12u %8u %10.3f %9s\n", Jobs, "inproc",
-                In.Obligations, In.Proven, In.Seconds, "-");
-    std::printf("%6u %10s %12u %8u %10.3f %+9.1f%%\n", Jobs, "workers",
-                Out.Obligations, Out.Proven, Out.Seconds,
-                Overhead * 100.0);
-    Runs.push_back(In);
-    Runs.push_back(Out);
+    unsigned Pairs = Jobs == 4 ? GatePairs : 1;
+    for (unsigned P = 0; P < Pairs; ++P) {
+      SuiteRun In = runSuiteAt(BC, Jobs, /*Isolated=*/false);
+      SuiteRun Out = runSuiteAt(BC, Jobs, /*Isolated=*/true);
+      double Overhead =
+          In.Seconds > 0 ? (Out.Seconds - In.Seconds) / In.Seconds : 0.0;
+      if (Jobs == 4)
+        Overheads.push_back(Overhead);
+      std::printf("%6u %10s %12u %8u %10.3f %9s\n", Jobs, "inproc",
+                  In.Obligations, In.Proven, In.Seconds, "-");
+      std::printf("%6u %10s %12u %8u %10.3f %+9.1f%%\n", Jobs, "workers",
+                  Out.Obligations, Out.Proven, Out.Seconds,
+                  Overhead * 100.0);
+      Runs.push_back(In);
+      Runs.push_back(Out);
+    }
   }
+  std::sort(Overheads.begin(), Overheads.end());
+  double OverheadAt4 = Overheads[Overheads.size() / 2];
+  std::printf("overhead at --jobs 4: median %+.1f%% of %u pairs "
+              "(min %+.1f%%, max %+.1f%%)\n",
+              OverheadAt4 * 100.0, GatePairs, Overheads.front() * 100.0,
+              Overheads.back() * 100.0);
 
   RecoveryRun Rec = runRecovery(BC, 4);
   std::printf("recovery: crash storm (10%% of obligations) %.3f s wall, "
@@ -224,20 +242,22 @@ int main(int argc, char **argv) {
                  "\"respawn_mean_ms\": %.1f, \"respawn_max_ms\": %.1f, "
                  "\"quarantined\": %llu},\n"
                  "  \"gates\": {\"overhead_at_4_max\": 0.15, "
-                 "\"overhead_at_4\": %.3f, \"respawn_mean_ms_max\": 250.0, "
+                 "\"overhead_at_4\": %.3f, \"overhead_at_4_pairs\": %u, "
+                 "\"respawn_mean_ms_max\": 250.0, "
                  "\"respawn_mean_ms\": %.1f, \"pass\": %s}\n}\n",
                  Rec.Seconds, static_cast<unsigned long long>(Rec.Crashes),
                  static_cast<unsigned long long>(Rec.Restarts),
                  Rec.RespawnMeanMs, Rec.RespawnMaxMs,
                  static_cast<unsigned long long>(Rec.Quarantined),
-                 OverheadAt4, Rec.RespawnMeanMs,
+                 OverheadAt4, GatePairs, Rec.RespawnMeanMs,
                  OverheadOk && RecoveryOk ? "true" : "false");
     std::fclose(Json);
     std::printf("wrote BENCH_containment.json\n");
   }
 
   if (!OverheadOk)
-    std::printf("GATE FAILED: worker overhead %+.1f%% at --jobs 4 >= 15%%\n",
+    std::printf("GATE FAILED: median worker overhead %+.1f%% at --jobs 4 "
+                ">= 15%%\n",
                 OverheadAt4 * 100.0);
   if (!RecoveryOk)
     std::printf("GATE FAILED: respawn mean %.1f ms (respawns=%llu); want "
@@ -245,8 +265,8 @@ int main(int argc, char **argv) {
                 Rec.RespawnMeanMs,
                 static_cast<unsigned long long>(Rec.Restarts));
   if (OverheadOk && RecoveryOk)
-    std::printf("gates passed: %+.1f%% overhead at --jobs 4, respawn mean "
-                "%.1f ms\n",
+    std::printf("gates passed: %+.1f%% median overhead at --jobs 4, "
+                "respawn mean %.1f ms\n",
                 OverheadAt4 * 100.0, Rec.RespawnMeanMs);
   return OverheadOk && RecoveryOk ? 0 : 1;
 }

@@ -13,7 +13,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "api/Cobalt.h"
+#include "api/Service.h"
 #include "engine/Engine.h"
 #include "ir/Interp.h"
 #include "ir/Parser.h"
@@ -28,16 +28,22 @@ using namespace cobalt;
 using namespace cobalt::engine;
 
 int main() {
+  // The service holds the labels and the taint analysis. Neither
+  // version of the rule is registered for compilation: the example only
+  // asks the service's prover about them.
   api::CobaltConfig Config;
   Config.Prover.TimeoutMs = 4000;
-  api::CobaltContext Ctx(Config);
+  api::CobaltService::Builder B;
+  B.config(Config);
   for (const LabelDef &Def : opts::standardLabels())
-    Ctx.defineLabel(Def);
-  Ctx.addAnalysis(opts::taintAnalysis()); // declares notTainted
+    B.defineLabel(Def);
+  B.addAnalysis(opts::taintAnalysis()); // declares notTainted
   opts::BuggyCase Buggy = opts::loadCseNoTaint();
   for (const LabelDef &Def : Buggy.Opt.Labels)
-    Ctx.defineLabel(Def);
-  const LabelRegistry &Registry = Ctx.registry();
+    B.defineLabel(Def);
+  std::shared_ptr<api::CobaltService> Svc = B.build();
+  const LabelRegistry &Registry = Svc->registry();
+  checker::SoundnessChecker &Prover = Svc->prover();
 
   // ------------------------------------------------------------------
   // The program that exposes the bug: p points to y, so `y := 7`
@@ -79,7 +85,7 @@ int main() {
   // 2. What the checker SAYS, before any program is ever compiled: the
   //    preservation obligation fails, with a counterexample context.
   // ------------------------------------------------------------------
-  checker::CheckReport Bad = Ctx.check(Buggy.Opt);
+  checker::CheckReport Bad = Prover.checkOptimization(Buggy.Opt);
   std::printf("checking the buggy version: %s\n",
               Bad.Sound ? "SOUND (?!)" : "rejected");
   for (const auto &Ob : Bad.Obligations)
@@ -99,7 +105,7 @@ int main() {
   //    fixed version is proven sound, and on this program it simply
   //    fires nowhere (y is tainted).
   // ------------------------------------------------------------------
-  checker::CheckReport Good = Ctx.check(opts::loadCse());
+  checker::CheckReport Good = Prover.checkOptimization(opts::loadCse());
   std::printf("\nchecking the fixed version: %s (%.2f s)\n",
               Good.Sound ? "SOUND" : "rejected", Good.TotalSeconds);
 

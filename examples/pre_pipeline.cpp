@@ -18,7 +18,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "api/Cobalt.h"
+#include "api/Service.h"
 #include "ir/Interp.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
@@ -53,12 +53,17 @@ int main() {
   std::printf("input (x := a + b at the join is PARTIALLY redundant):\n%s\n",
               ir::toString(Prog).c_str());
 
-  api::CobaltContext Ctx;
-  Ctx.addOptimization(opts::preDuplicate());
-  Ctx.addOptimization(opts::cse());
-  Ctx.addOptimization(opts::selfAssignRemoval());
-
-  for (const engine::PassReport &R : Ctx.runPipeline(Prog).Reports)
+  std::shared_ptr<api::CobaltService> Svc =
+      api::CobaltService::Builder()
+          .addOptimization(opts::preDuplicate())
+          .addOptimization(opts::cse())
+          .addOptimization(opts::selfAssignRemoval())
+          .build();
+  api::PipelineRequest Req;
+  Req.Prog = std::move(Prog);
+  api::PipelineResponse Run = Svc->run(std::move(Req));
+  Prog = std::move(Run.Prog);
+  for (const engine::PassReport &R : Run.Result.Reports)
     std::printf("pass %-22s legal=%u applied=%u\n", R.PassName.c_str(),
                 R.DeltaSize, R.AppliedCount);
 

@@ -29,9 +29,6 @@
 namespace cobalt {
 namespace api {
 
-/// Escapes \p S for embedding inside a JSON string literal.
-std::string jsonEscape(const std::string &S);
-
 /// "sound" / "unsound" / "unproven".
 const char *verdictName(const checker::CheckReport &R);
 

@@ -125,7 +125,7 @@ public:
                                  ir::Program &Prog);
 
   /// Runs the subset of registered passes whose names appear in \p Names,
-  /// preserving registration order (the CobaltContext pipeline API).
+  /// preserving registration order (PipelineRequest::SelectedOnly).
   std::vector<PassReport> runSelected(const std::vector<std::string> &Names,
                                       ir::Program &Prog);
 

@@ -9,6 +9,7 @@
 #include "api/ReportJson.h"
 #include "ir/Printer.h"
 #include "service/Protocol.h"
+#include "support/Json.h"
 #include "support/Subprocess.h"
 
 #include <cerrno>
@@ -124,7 +125,7 @@ std::string Daemon::handleFrame(const std::string &Payload, bool &Shutdown) {
   if (!Req || Req->K != JsonValue::Kind::JK_Object)
     return "{\"status\": \"error\", \"error\": \"parse_error\", "
            "\"reason\": \"" +
-           api::jsonEscape(ParseErr.empty() ? "request is not an object"
+           support::jsonEscape(ParseErr.empty() ? "request is not an object"
                                             : ParseErr) +
            "\"}";
   const JsonValue *Cmd = Req->find("cmd");
@@ -185,7 +186,7 @@ std::string Daemon::handleFrame(const std::string &Payload, bool &Shutdown) {
   }
   return "{\"status\": \"error\", \"error\": \"parse_error\", "
          "\"reason\": \"unknown cmd '" +
-         api::jsonEscape(Name) + "'\"}";
+         support::jsonEscape(Name) + "'\"}";
 }
 
 std::string Daemon::handlePing() {
@@ -214,11 +215,11 @@ std::string Daemon::handleCheck(const JsonValue &Req, uint64_t TraceId) {
     dumpFlightRecorder("worker_quarantine");
   if (R.Status == api::ResponseStatus::RS_Retry)
     return "{\"status\": \"retry\", \"reason\": \"" +
-           api::jsonEscape(R.Err.Message) + "\"}";
+           support::jsonEscape(R.Err.Message) + "\"}";
   if (R.Status == api::ResponseStatus::RS_Error)
     return "{\"status\": \"error\", \"error\": \"" +
            std::string(R.Err.kindName()) + "\", \"reason\": \"" +
-           api::jsonEscape(R.Err.Message) + "\"}";
+           support::jsonEscape(R.Err.Message) + "\"}";
 
   std::string Out = "{\n  \"status\": \"ok\",\n";
   api::emitDefinitionsJson(Out, R.Suite.Reports);
@@ -226,7 +227,7 @@ std::string Daemon::handleCheck(const JsonValue &Req, uint64_t TraceId) {
   for (size_t I = 0; I < R.Remarks.size(); ++I) {
     if (I)
       Out += ", ";
-    Out += "\"" + api::jsonEscape(R.Remarks[I].str()) + "\"";
+    Out += "\"" + support::jsonEscape(R.Remarks[I].str()) + "\"";
   }
   Out += "],\n  \"exit\": " +
          std::to_string(api::CobaltService::exitCodeFor(
@@ -244,7 +245,7 @@ std::string Daemon::handleRun(const JsonValue &Req, uint64_t TraceId) {
   if (!Prog)
     return "{\"status\": \"error\", \"error\": \"" +
            std::string(Prog.error().kindName()) + "\", \"reason\": \"" +
-           api::jsonEscape(Prog.error().Message) + "\"}";
+           support::jsonEscape(Prog.error().Message) + "\"}";
 
   api::PipelineRequest PR;
   PR.Prog = Prog.take();
@@ -261,7 +262,7 @@ std::string Daemon::handleRun(const JsonValue &Req, uint64_t TraceId) {
   Out += ",\n  \"applied\": " + std::to_string(R.Result.Applied);
   Out += ",\n  \"degraded\": ";
   Out += R.Result.Degraded ? "true" : "false";
-  Out += ",\n  \"optimized_il\": \"" + api::jsonEscape(ir::toString(R.Prog)) +
+  Out += ",\n  \"optimized_il\": \"" + support::jsonEscape(ir::toString(R.Prog)) +
          "\"";
   Out += ",\n  \"exit\": " + std::to_string(R.Result.Degraded ? 3 : 0);
   Out += "\n}";
@@ -280,12 +281,12 @@ std::string Daemon::handleValidate(const JsonValue &Req, uint64_t TraceId) {
   if (!Orig)
     return "{\"status\": \"error\", \"error\": \"" +
            std::string(Orig.error().kindName()) + "\", \"reason\": \"" +
-           api::jsonEscape("original: " + Orig.error().Message) + "\"}";
+           support::jsonEscape("original: " + Orig.error().Message) + "\"}";
   support::Expected<ir::Program> Cand = Svc->parseProgram(Candidate->Str);
   if (!Cand)
     return "{\"status\": \"error\", \"error\": \"" +
            std::string(Cand.error().kindName()) + "\", \"reason\": \"" +
-           api::jsonEscape("candidate: " + Cand.error().Message) + "\"}";
+           support::jsonEscape("candidate: " + Cand.error().Message) + "\"}";
 
   api::ValidateRequest VR;
   VR.Original = Orig.take();
@@ -302,7 +303,7 @@ std::string Daemon::handleValidate(const JsonValue &Req, uint64_t TraceId) {
   if (R.Status == api::ResponseStatus::RS_Error)
     return "{\"status\": \"error\", \"error\": \"" +
            std::string(R.Err.kindName()) + "\", \"reason\": \"" +
-           api::jsonEscape(R.Err.Message) + "\"}";
+           support::jsonEscape(R.Err.Message) + "\"}";
 
   std::string Out = "{\n  \"status\": \"ok\",\n";
   api::emitValidationJson(Out, R.Report);

@@ -6,6 +6,8 @@
 
 #include "support/Telemetry.h"
 
+#include "support/Json.h"
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -94,37 +96,6 @@ uint64_t support::mintTraceId() {
 #if COBALT_TELEMETRY
 
 namespace {
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-void appendEscaped(std::string &Out, std::string_view S) {
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-}
 
 /// Fixed-format double: histograms dump with 6 decimal places so the
 /// rendering never depends on locale or shortest-round-trip quirks.
@@ -244,7 +215,7 @@ std::string MetricsRegistry::json() const {
     Out += First ? "\n" : ",\n";
     First = false;
     Out += "    \"";
-    appendEscaped(Out, Name);
+    Out += jsonEscape(Name);
     Out += "\": " + std::to_string(Value);
   }
   Out += First ? "},\n" : "\n  },\n";
@@ -255,7 +226,7 @@ std::string MetricsRegistry::json() const {
     Out += First ? "\n" : ",\n";
     First = false;
     Out += "    \"";
-    appendEscaped(Out, Name);
+    Out += jsonEscape(Name);
     Out += "\": " + std::to_string(Value);
   }
   Out += First ? "},\n" : "\n  },\n";
@@ -266,7 +237,7 @@ std::string MetricsRegistry::json() const {
     Out += First ? "\n" : ",\n";
     First = false;
     Out += "    \"";
-    appendEscaped(Out, Name);
+    Out += jsonEscape(Name);
     Out += "\": {\"count\": " + std::to_string(H.Count) +
            ", \"sum\": " + fixedDouble(H.Sum) +
            ", \"min\": " + fixedDouble(H.Min) +
@@ -497,7 +468,7 @@ std::string TraceRecorder::json() const {
     if (WithTid)
       Out += ", \"tid\": " + std::to_string(Tid);
     Out += ", \"args\": {\"name\": \"";
-    appendEscaped(Out, Name);
+    Out += jsonEscape(Name);
     Out += "\"}}";
   };
 
@@ -523,9 +494,9 @@ std::string TraceRecorder::json() const {
     Out += First ? "" : ",\n";
     First = false;
     Out += "  {\"name\": \"";
-    appendEscaped(Out, E.Name);
+    Out += jsonEscape(E.Name);
     Out += "\", \"cat\": \"";
-    appendEscaped(Out, E.Cat);
+    Out += jsonEscape(E.Cat);
     Out += "\", \"ph\": \"X\", \"ts\": " + std::to_string(E.StartUs) +
            ", \"dur\": " + std::to_string(E.DurUs) +
            ", \"pid\": " + std::to_string(E.Pid == 0 ? 1 : E.Pid) +
@@ -538,9 +509,9 @@ std::string TraceRecorder::json() const {
           Out += ", ";
         FirstArg = false;
         Out += "\"";
-        appendEscaped(Out, Key);
+        Out += jsonEscape(Key);
         Out += "\": \"";
-        appendEscaped(Out, Value);
+        Out += jsonEscape(Value);
         Out += "\"";
       };
       for (const auto &[Key, Value] : E.Args)
@@ -619,7 +590,7 @@ std::string FlightRecorder::json(const char *Reason) const {
     Dropped = Next > Ring.size() ? Next - Ring.size() : 0;
   }
   std::string Out = "{\n  \"reason\": \"";
-  appendEscaped(Out, Reason ? Reason : "dump");
+  Out += jsonEscape(Reason ? Reason : "dump");
   Out += "\",\n  \"dropped\": " + std::to_string(Dropped) +
          ",\n  \"flightEvents\": [";
   bool First = true;
@@ -629,9 +600,9 @@ std::string FlightRecorder::json(const char *Reason) const {
     Out += "    {\"seq\": " + std::to_string(E.Seq) +
            ", \"us\": " + std::to_string(E.WhenUs) +
            ", \"trace_id\": \"" + hex16(E.TraceId) + "\", \"kind\": \"";
-    appendEscaped(Out, E.Kind);
+    Out += jsonEscape(E.Kind);
     Out += "\", \"detail\": \"";
-    appendEscaped(Out, E.Detail);
+    Out += jsonEscape(E.Detail);
     Out += "\"}";
   }
   Out += First ? "]\n" : "\n  ]\n";

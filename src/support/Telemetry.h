@@ -39,8 +39,8 @@
 /// ## The disabled fast path
 ///
 /// Telemetry is ambient: one process-wide `Telemetry *` installed by a
-/// `TelemetryScope` (the CobaltContext installs its own instance around
-/// every check / pipeline call). Every instrumentation site performs
+/// `TelemetryScope` (a CobaltService installs its own instance around
+/// every check / pipeline / validate request). Every instrumentation site performs
 /// exactly one relaxed atomic load and one branch when no telemetry is
 /// installed — no string building, no allocation, no locking. A
 /// `TraceSpan` constructed while disabled holds a null recorder and its
@@ -375,8 +375,7 @@ private:
 /// One telemetry session: a metrics registry plus a trace recorder.
 /// Install with TelemetryScope; instrumentation sites reach it through
 /// Telemetry::active(). Remarks do NOT flow through here — they ride in
-/// PassReports and are delivered in deterministic report order by the
-/// CobaltContext.
+/// CheckResponse / PassReports, in deterministic report order.
 class Telemetry {
 public:
   MetricsRegistry Metrics;
@@ -399,7 +398,7 @@ private:
 /// RAII installer for the ambient Telemetry. Passing nullptr is a no-op
 /// (an enclosing scope, e.g. an embedder's own session, stays active).
 /// Scopes are process-global: one driving thread installs, pool workers
-/// observe — matching the CobaltContext's one-driver threading model.
+/// observe.
 class TelemetryScope {
 public:
   explicit TelemetryScope(Telemetry *T) : Installed(T != nullptr) {

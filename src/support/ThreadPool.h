@@ -8,7 +8,7 @@
 /// The one thread pool the whole pipeline shares: the soundness checker
 /// fans proof obligations into it (each job owns a fresh Z3 context), and
 /// the pass manager fans per-procedure pipeline runs into it. A
-/// CobaltContext owns exactly one pool sized by its `Jobs` config.
+/// CobaltService owns exactly one pool sized by its `Jobs` config.
 ///
 /// Design points:
 ///

@@ -18,7 +18,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "api/Cobalt.h"
+#include "api/Service.h"
 #include "ir/Printer.h"
 #include "opts/Optimizations.h"
 #include "support/FaultInjection.h"
@@ -68,26 +68,35 @@ RunTelemetry runOnce(unsigned Jobs) {
   api::CobaltConfig Config;
   Config.Jobs = Jobs;
   Config.Telemetry = true;
-  api::CobaltContext Ctx(Config);
+  std::shared_ptr<api::CobaltService> Svc =
+      api::CobaltService::Builder()
+          .config(Config)
+          .addOptimization(opts::constProp())
+          .addOptimization(opts::cse())
+          .build();
 
+  // Remarks in delivery order: the check response's, then each pass
+  // report's, as cobaltc prints them.
   RunTelemetry Out;
-  Ctx.setRemarkCallback([&Out](const support::Remark &R) {
+  api::CheckResponse Check = Svc->check({});
+  EXPECT_TRUE(Check.Suite.allSound());
+  for (const support::Remark &R : Check.Remarks)
     Out.Remarks.push_back(R.str());
-  });
-  Ctx.addOptimization(opts::constProp());
-  Ctx.addOptimization(opts::cse());
 
-  api::SuiteResult Suite = Ctx.checkRegistered();
-  EXPECT_TRUE(Suite.allSound());
-
-  auto Prog = Ctx.parseProgram(ProgramSource);
+  auto Prog = Svc->parseProgram(ProgramSource);
   EXPECT_TRUE(static_cast<bool>(Prog));
-  api::PipelineResult Run =
-      Ctx.runPipeline(*Prog, Suite.provenPassNames());
-  EXPECT_GT(Run.Applied, 0u);
-  Out.OptimizedProgram = ir::toString(*Prog);
+  api::PipelineRequest Req;
+  Req.Prog = std::move(*Prog);
+  Req.PassNames = Check.Suite.provenPassNames();
+  Req.SelectedOnly = true;
+  api::PipelineResponse Run = Svc->run(std::move(Req));
+  EXPECT_GT(Run.Result.Applied, 0u);
+  for (const engine::PassReport &R : Run.Result.Reports)
+    for (const support::Remark &Rem : R.Remarks)
+      Out.Remarks.push_back(Rem.str());
+  Out.OptimizedProgram = ir::toString(Run.Prog);
 
-  support::Telemetry *T = Ctx.telemetry();
+  support::Telemetry *T = Svc->telemetry();
   EXPECT_NE(T, nullptr);
   for (const support::TraceEvent &E : T->Trace.snapshot()) {
     std::string Key = std::string(E.Cat) + "/" + E.Name + "{";

@@ -6,9 +6,13 @@
 
 #include "Flags.h"
 
+#include "opts/StdlibCobalt.h"
+
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 
 using namespace cobalt;
 using namespace cobalt::cli;
@@ -313,4 +317,58 @@ std::string cli::flagUsage(unsigned Sets) {
   if (Line.size() > 7)
     Out += Line + "\n";
   return Out;
+}
+
+//===----------------------------------------------------------------------===//
+// File loaders.
+//===----------------------------------------------------------------------===//
+
+support::Expected<std::string> cli::readTextFile(const std::string &Path) {
+  std::ifstream In(Path);
+  if (!In)
+    return support::Error(support::ErrorKind::EK_IoError,
+                          "cannot read '" + Path + "'");
+  std::ostringstream Out;
+  Out << In.rdbuf();
+  return Out.str();
+}
+
+bool cli::writeTextFile(const std::string &Path, const std::string &Text) {
+  std::FILE *F = std::fopen(Path.c_str(), "wb");
+  if (!F)
+    return false;
+  bool Ok = std::fwrite(Text.data(), 1, Text.size(), F) == Text.size();
+  return (std::fclose(F) == 0) && Ok;
+}
+
+void cli::writeTelemetryFiles(const char *Tool, support::Telemetry *T,
+                              const std::string &TraceOut,
+                              const std::string &MetricsOut) {
+  if (!TraceOut.empty() &&
+      !writeTextFile(TraceOut, T ? T->Trace.json()
+                                 : std::string("{\"traceEvents\": []}\n")))
+    std::fprintf(stderr, "%s: warning: cannot write trace to '%s'\n", Tool,
+                 TraceOut.c_str());
+  if (!MetricsOut.empty() &&
+      !writeTextFile(MetricsOut, T ? T->Metrics.json()
+                                   : support::MetricsRegistry().json()))
+    std::fprintf(stderr, "%s: warning: cannot write metrics to '%s'\n",
+                 Tool, MetricsOut.c_str());
+}
+
+support::Expected<CobaltModule>
+cli::loadModuleFile(const std::string &Path) {
+  if (Path == "stdlib")
+    return api::CobaltService::parseModule(opts::StdlibCobaltSource);
+  support::Expected<std::string> Text = readTextFile(Path);
+  if (!Text)
+    return Text.error();
+  return api::CobaltService::parseModule(*Text);
+}
+
+support::Expected<ir::Program> cli::loadProgramFile(const std::string &Path) {
+  support::Expected<std::string> Text = readTextFile(Path);
+  if (!Text)
+    return Text.error();
+  return api::CobaltService::parseProgram(*Text);
 }

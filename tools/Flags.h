@@ -13,6 +13,10 @@
 /// tool's name in the message, and usage text is generated from the
 /// same table.
 ///
+/// The tools' shared file helpers live here too: reading modules and
+/// programs (src/ parses text, it never opens input files) and writing
+/// the --trace-out/--metrics-out dumps.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef COBALT_TOOLS_FLAGS_H
@@ -79,6 +83,24 @@ bool parseFlags(int Argc, char **Argv, const char *Tool, unsigned Sets,
 /// Usage lines ("       --jobs <n>  ...") for the flags in \p Sets,
 /// generated from the table.
 std::string flagUsage(unsigned Sets);
+
+/// Reads \p Path whole (EK_IoError on failure).
+support::Expected<std::string> readTextFile(const std::string &Path);
+/// Writes \p Text to \p Path; false on any I/O failure.
+bool writeTextFile(const std::string &Path, const std::string &Text);
+/// Writes \p T's trace and metrics to \p TraceOut / \p MetricsOut (each
+/// skipped when empty). With no session — telemetry compiled out, or no
+/// service built yet — the files still appear, as empty documents. A
+/// failed write warns on stderr as "<Tool>: warning: ..." and is
+/// otherwise ignored.
+void writeTelemetryFiles(const char *Tool, support::Telemetry *T,
+                         const std::string &TraceOut,
+                         const std::string &MetricsOut);
+/// Reads and parses a .cob module (EK_IoError / EK_ParseError); the path
+/// "stdlib" names the bundled standard module.
+support::Expected<CobaltModule> loadModuleFile(const std::string &Path);
+/// Reads and parses an IL program (EK_IoError / EK_ParseError).
+support::Expected<ir::Program> loadProgramFile(const std::string &Path);
 
 } // namespace cli
 } // namespace cobalt

@@ -4,8 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Differential fuzzing harness over the CobaltContext facade
-/// (DESIGN.md §11):
+/// Differential fuzzing harness over one CobaltService (DESIGN.md §11):
 ///
 ///   cobalt-fuzz [flags]
 ///
@@ -53,21 +52,25 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "api/Cobalt.h"
+#include "api/Service.h"
 #include "fuzz/Corpus.h"
 #include "fuzz/Fuzzer.h"
 #include "ir/Printer.h"
 #include "support/FaultInjection.h"
+#include "support/Json.h"
 #include "validate/Adversary.h"
 
+#include "Flags.h"
+
 #include <chrono>
-#include <set>
 #include <cstdio>
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
 using namespace cobalt;
+using support::jsonEscape;
 
 namespace {
 
@@ -177,36 +180,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
   return true;
 }
 
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (unsigned char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += static_cast<char>(C);
-      }
-    }
-  }
-  return Out;
-}
-
 std::vector<fuzz::FuzzTarget> assembleTargets(const std::string &Suite) {
   std::vector<fuzz::FuzzTarget> Targets;
   auto Append = [&](std::vector<fuzz::FuzzTarget> More) {
@@ -222,17 +195,30 @@ std::vector<fuzz::FuzzTarget> assembleTargets(const std::string &Suite) {
   return Targets;
 }
 
+/// The one service a campaign runs on. It registers every analysis the
+/// targets carry (first definition of a name wins), so --check can prove
+/// each target's optimization against them on the service's prover.
+std::shared_ptr<api::CobaltService>
+buildService(const api::CobaltConfig &Config,
+             const std::vector<fuzz::FuzzTarget> &Targets) {
+  api::CobaltService::Builder B;
+  B.config(Config);
+  std::set<std::string> Registered;
+  for (const fuzz::FuzzTarget &T : Targets)
+    for (const PureAnalysis &A : T.Analyses)
+      if (Registered.insert(A.Name).second)
+        B.addAnalysis(A);
+  return B.build();
+}
+
 /// --check: replace each target's documented verdict with the live
 /// checker's. Any disagreement is itself reported — the checker oracle
 /// covering the *verdict* side of the contract.
-void recomputeVerdicts(api::CobaltContext &Ctx,
+void recomputeVerdicts(api::CobaltService &Svc,
                        std::vector<fuzz::FuzzTarget> &Targets) {
-  std::set<std::string> Registered;
+  support::TelemetryScope Scope(Svc.telemetry());
   for (fuzz::FuzzTarget &T : Targets) {
-    for (const PureAnalysis &A : T.Analyses)
-      if (Registered.insert(A.Name).second)
-        Ctx.addAnalysis(A);
-    checker::CheckReport R = Ctx.check(T.Opt);
+    checker::CheckReport R = Svc.prover().checkOptimization(T.Opt);
     if (R.V != T.Verdict)
       std::fprintf(stderr,
                    "cobalt-fuzz: note: checker says %s for %s "
@@ -241,14 +227,6 @@ void recomputeVerdicts(api::CobaltContext &Ctx,
                    fuzz::verdictName(T.Verdict));
     T.Verdict = R.V;
   }
-}
-
-bool writeTextFile(const std::string &Path, const std::string &Text) {
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F)
-    return false;
-  bool Ok = std::fwrite(Text.data(), 1, Text.size(), F) == Text.size();
-  return (std::fclose(F) == 0) && Ok;
 }
 
 /// The JSON summary. Deliberately wall-clock-free: every value is a
@@ -363,25 +341,10 @@ std::string adversaryJson(const Options &Opts,
   return Out;
 }
 
-/// Writes the accepted --trace-out / --metrics-out files (when telemetry
-/// is on); a write failure is a warning, not a campaign failure.
-void writeTelemetryFiles(const Options &Opts, api::CobaltContext &Ctx) {
-  support::Telemetry *T = Ctx.telemetry();
-  if (!T)
-    return;
-  if (!Opts.TraceOut.empty() && !writeTextFile(Opts.TraceOut, T->Trace.json()))
-    std::fprintf(stderr, "cobalt-fuzz: warning: cannot write '%s'\n",
-                 Opts.TraceOut.c_str());
-  if (!Opts.MetricsOut.empty() &&
-      !writeTextFile(Opts.MetricsOut, T->Metrics.json()))
-    std::fprintf(stderr, "cobalt-fuzz: warning: cannot write '%s'\n",
-                 Opts.MetricsOut.c_str());
-}
-
 /// `cobalt-fuzz --validate`: the adversarial campaign of DESIGN.md §14.
 /// The fuzzer switches sides — instead of probing the checker it
 /// miscompiles programs and tries to sneak them past the validator.
-int runValidateMode(const Options &Opts, api::CobaltContext &Ctx,
+int runValidateMode(const Options &Opts, api::CobaltService &Svc,
                     const std::vector<fuzz::FuzzTarget> &Targets) {
   validate::AdversaryOptions AO;
   AO.Seed = Opts.Fuzz.Seed;
@@ -391,9 +354,9 @@ int runValidateMode(const Options &Opts, api::CobaltContext &Ctx,
   const auto Start = std::chrono::steady_clock::now();
   // The campaign drives the validator directly rather than through a
   // service call, so install the telemetry the service calls would.
-  support::TelemetryScope Scope(Ctx.telemetry());
+  support::TelemetryScope Scope(Svc.telemetry());
   validate::AdversarySummary Sum =
-      validate::runAdversary(Targets, AO, Ctx.service()->prover());
+      validate::runAdversary(Targets, AO, Svc.prover());
   double Elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
           .count();
@@ -453,24 +416,29 @@ int main(int Argc, char **Argv) {
     Config.Prover.Retries = 1;
     Config.Prover.BudgetMs = 10000;
   }
-  api::CobaltContext Ctx(Config);
-
   std::vector<fuzz::FuzzTarget> Targets = assembleTargets(Opts.Suite);
+  std::shared_ptr<api::CobaltService> Svc = buildService(Config, Targets);
   if (Opts.Check)
-    recomputeVerdicts(Ctx, Targets);
+    recomputeVerdicts(*Svc, Targets);
 
   if (Opts.Validate) {
-    int Exit = runValidateMode(Opts, Ctx, Targets);
-    writeTelemetryFiles(Opts, Ctx);
+    int Exit = runValidateMode(Opts, *Svc, Targets);
+    cli::writeTelemetryFiles("cobalt-fuzz", Svc->telemetry(), Opts.TraceOut,
+                             Opts.MetricsOut);
     return Exit;
   }
 
   const auto Start = std::chrono::steady_clock::now();
-  fuzz::FuzzSummary Sum = Ctx.runFuzz(Targets, Opts.Fuzz);
+  fuzz::FuzzSummary Sum;
+  {
+    support::TelemetryScope Scope(Svc->telemetry());
+    Sum = fuzz::runFuzz(Targets, Opts.Fuzz, Svc->pool());
+  }
   double Elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
           .count();
-  writeTelemetryFiles(Opts, Ctx);
+  cli::writeTelemetryFiles("cobalt-fuzz", Svc->telemetry(), Opts.TraceOut,
+                           Opts.MetricsOut);
 
   std::vector<std::string> MissingExpected;
   for (const fuzz::FuzzTarget &T : Targets)
