@@ -10,6 +10,7 @@
 #include "ir/Parser.h"
 #include "support/Lexer.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -45,6 +46,10 @@ private:
   bool parseLabelDef();
   bool parseOptimization();
   bool parseAnalysis();
+  /// Rejects a definition name an earlier analysis or optimization of
+  /// the module already uses: requests name the definition to prove, so
+  /// a name must pick out exactly one.
+  bool checkFreshName(const Token &Name);
 
   /// Extracts the source extent of tokens up to (not including) the next
   /// top-level occurrence of one of the \p Stops (punctuator spellings or
@@ -480,12 +485,25 @@ bool CobaltParser::parseLabelDef() {
   return true;
 }
 
+bool CobaltParser::checkFreshName(const Token &Name) {
+  auto Same = [&Name](const auto &Def) { return Def.Name == Name.Spelling; };
+  if (std::none_of(Module.Analyses.begin(), Module.Analyses.end(), Same) &&
+      std::none_of(Module.Optimizations.begin(), Module.Optimizations.end(),
+                   Same))
+    return true;
+  Diags.error(Name.Loc, "a definition named '" + std::string(Name.Spelling) +
+                            "' already exists in this module");
+  return false;
+}
+
 bool CobaltParser::parseOptimization() {
   Token Name = Lex.lex();
   if (!Name.is(TokenKind::TK_Ident)) {
     Diags.error(Name.Loc, "expected optimization name");
     return false;
   }
+  if (!checkFreshName(Name))
+    return false;
   if (!expectPunct(":="))
     return false;
 
@@ -546,6 +564,8 @@ bool CobaltParser::parseAnalysis() {
     Diags.error(Name.Loc, "expected analysis name");
     return false;
   }
+  if (!checkFreshName(Name))
+    return false;
   if (!expectPunct(":="))
     return false;
 

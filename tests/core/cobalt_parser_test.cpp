@@ -154,4 +154,27 @@ TEST(CobaltParserTest, MultipleDefinitionsShareLabels) {
   EXPECT_EQ(M.Optimizations[1].Labels.size(), 1u);
 }
 
+TEST(CobaltParserTest, DuplicateDefinitionNamesRejected) {
+  // Requests name the definition to prove, so analyses and optimizations
+  // share one namespace and a second use of a name is an input error.
+  for (const char *Text : {R"(
+    optimization a := forward stmt(Y := C) followed by true
+      until X := Y => X := C with witness eta(Y) = eta(C);
+    optimization a := backward true preceded by false
+      since X := C => skip with witness eta_old = eta_new;
+  )",
+                           R"(
+    analysis a := stmt(decl X) followed by !stmt(_ := &X)
+      defines notTainted(X) with witness notPointedTo(X);
+    optimization a := forward stmt(Y := C) followed by true
+      until X := Y => X := C with witness eta(Y) = eta(C);
+  )"}) {
+    DiagnosticEngine Diags;
+    EXPECT_FALSE(parseCobalt(Text, Diags).has_value()) << Text;
+    EXPECT_NE(Diags.str().find("a definition named 'a' already exists"),
+              std::string::npos)
+        << Diags.str();
+  }
+}
+
 } // namespace
