@@ -22,6 +22,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "checker/Encoder.h"
+#include "checker/Obligations.h"
 #include "checker/PatternEncoder.h"
 #include "opts/Buggy.h"
 #include "opts/Labels.h"
@@ -85,7 +86,7 @@ z3::check_result checkF2(const Optimization &O, const LabelRegistry &Registry,
     Hyps.push_back(E);
   z3::expr Goal = PE.witness(*O.Pat.W, &Step.Post, nullptr, nullptr, Env);
 
-  z3::solver S(C);
+  z3::solver S = makeObligationSolver(C);
   z3::params P(C);
   P.set("timeout", TimeoutMs);
   S.set(P);

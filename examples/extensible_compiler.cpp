@@ -22,6 +22,7 @@
 #include "ir/Parser.h"
 #include "ir/Printer.h"
 
+#include <cctype>
 #include <cstdio>
 
 using namespace cobalt;
@@ -52,11 +53,21 @@ public:
       checker::CheckReport &Report = Resp.Suite.Reports.front();
       if (!Report.Sound) {
         std::printf("  REJECTED %s:\n", O.Name.c_str());
-        for (const auto &Ob : Report.Obligations)
-          if (!Ob.proven())
-            std::printf("    obligation %s failed%s%s\n", Ob.Name.c_str(),
-                        Ob.Counterexample.empty() ? "" : ": ",
-                        Ob.Counterexample.substr(0, 160).c_str());
+        for (const auto &Ob : Report.Obligations) {
+          if (Ob.proven())
+            continue;
+          // Z3 prints array values across several lines; show the model's
+          // first 160 characters on one line.
+          std::string Model;
+          for (char Ch : Ob.Counterexample)
+            if (!std::isspace(static_cast<unsigned char>(Ch)))
+              Model += Ch;
+            else if (!Model.empty() && Model.back() != ' ')
+              Model += ' ';
+          std::printf("    obligation %s failed%s%s\n", Ob.Name.c_str(),
+                      Model.empty() ? "" : ": ",
+                      Model.substr(0, 160).c_str());
+        }
         return false;
       }
       std::printf("  ADMITTED %s (%zu obligations, %.2f s)\n",

@@ -543,34 +543,35 @@ SoundnessChecker::prepareOptimization(const Optimization &O) {
   PreparedCheck PC;
   PC.Key = fingerprintOptimization(O);
   PC.Report.Name = O.Name;
-  if (Policy.CacheVerdicts && cacheLookup(PC.Key, PC.Report)) {
-    PC.Report.CacheHit = true;
-    PC.Report.TotalSeconds = 0.0;
-    PC.CacheHit = true;
-    return PC;
-  }
-
   PC.ByLabel =
       std::make_shared<std::map<std::string, const PureAnalysis *>>();
   for (const PureAnalysis &A : Analyses)
     (*PC.ByLabel)[A.LabelName] = &A;
 
   // Record the analysis labels the guard mentions: the soundness
-  // guarantee is conditional on those analyses (checked separately).
+  // guarantee is conditional on those analyses (checked separately). A
+  // label that is neither a builtin, a defined predicate, nor produced
+  // by a registered analysis would encode as an unconstrained boolean
+  // and yield spurious counterexamples, so it is collected instead.
+  // This runs before the cache lookup: such a rule is never decided.
+  std::vector<std::string> UnknownLabels;
   {
+    auto AddOnce = [](std::vector<std::string> &Into,
+                      const std::string &Entry) {
+      if (std::find(Into.begin(), Into.end(), Entry) == Into.end())
+        Into.push_back(Entry);
+    };
     auto Scan = [&](const FormulaPtr &F, auto &&ScanRef) -> void {
       if (!F)
         return;
       if (F->K == Formula::Kind::FK_Label &&
-          Registry.isAnalysisLabel(F->LabelName)) {
+          !LabelRegistry::isBuiltin(F->LabelName) &&
+          !Registry.findPredicate(F->LabelName)) {
         auto It = PC.ByLabel->find(F->LabelName);
-        std::string Dep = It != PC.ByLabel->end()
-                              ? It->second->Name
-                              : F->LabelName + " (unknown)";
-        if (std::find(PC.Report.AssumedAnalyses.begin(),
-                      PC.Report.AssumedAnalyses.end(),
-                      Dep) == PC.Report.AssumedAnalyses.end())
-          PC.Report.AssumedAnalyses.push_back(Dep);
+        if (It != PC.ByLabel->end())
+          AddOnce(PC.Report.AssumedAnalyses, It->second->Name);
+        else
+          AddOnce(UnknownLabels, F->LabelName);
       }
       for (const FormulaPtr &Kid : F->Kids)
         ScanRef(Kid, ScanRef);
@@ -585,6 +586,28 @@ SoundnessChecker::prepareOptimization(const Optimization &O) {
     };
     Scan(O.Pat.G.Psi1, Scan);
     Scan(O.Pat.G.Psi2, Scan);
+  }
+  if (!UnknownLabels.empty()) {
+    // Unproven, not unsound: nothing is known to be wrong with the rule.
+    // No obligation is dispatched; one synthetic unknown result carries
+    // the reason.
+    std::string Why = "guard label";
+    Why += UnknownLabels.size() > 1 ? "s " : " ";
+    for (size_t I = 0; I < UnknownLabels.size(); ++I)
+      Why += (I ? ", '" : "'") + UnknownLabels[I] + "'";
+    Why += " neither defined nor produced by a registered analysis";
+    ObligationResult R;
+    R.Name = "labels";
+    R.St = ObligationResult::Status::OS_Unknown;
+    R.Err = support::Error(ErrorKind::EK_ProverUnknown, std::move(Why));
+    PC.Report.Obligations.push_back(std::move(R));
+    return PC;
+  }
+  if (Policy.CacheVerdicts && cacheLookup(PC.Key, PC.Report)) {
+    PC.Report.CacheHit = true;
+    PC.Report.TotalSeconds = 0.0;
+    PC.CacheHit = true;
+    return PC;
   }
 
   // The task closures capture this pointer: the definition lives in the
@@ -962,13 +985,28 @@ SoundnessChecker::runPrepared(std::vector<PreparedCheck> Checks) {
   // run the solver. In-process mode runs it on the checker's threads
   // (under the job's fault scope); subprocess mode runs the *same
   // closure* inside a worker child, so the two modes cannot drift.
+  // Its sub-spans split the obligation span into context setup, goal
+  // encoding, one span per solver run (inside check), and teardown.
   auto Discharge = [&](size_t Idx, int64_t Left) -> ObligationResult {
     auto [CI, TI] = Flat[Idx];
     PreparedCheck &PC = Checks[CI];
     ObligationTask &T = PC.Tasks[TI];
-    ObligationBuilder B(Registry, *PC.ByLabel);
-    z3::expr Goal = T.Build(B);
-    return B.check(T.Name, Goal, Policy, Left);
+    std::unique_ptr<ObligationBuilder> B;
+    {
+      support::TraceSpan Setup("checker", "obligation.setup");
+      B = std::make_unique<ObligationBuilder>(Registry, *PC.ByLabel);
+    }
+    ObligationResult R;
+    {
+      z3::expr Goal = [&] {
+        support::TraceSpan Encode("checker", "obligation.encode");
+        return T.Build(*B);
+      }();
+      R = B->check(T.Name, Goal, Policy, Left);
+    } // Goal refers into B's context: release it first.
+    support::TraceSpan Teardown("checker", "obligation.teardown");
+    B.reset();
+    return R;
   };
 
   // Out-of-process mode: fork the workers *now*, before any task fans

@@ -94,21 +94,38 @@ TEST(RejectionDetailTest, CounterexampleContextIsProducedWhenSat) {
   for (const LabelDef &Def : opts::standardLabels())
     Registry.define(Def);
   Registry.declareAnalysisLabel("notTainted");
+  //
+  // The solver's preamble (solve-eqs, elim-uncnstr) eliminates constants;
+  // its model converter must bring them back, so the model has to name
+  // a pattern variable or a state component, not only solver leftovers.
   SoundnessChecker SC(Registry, opts::allAnalyses());
   SC.setTimeoutMs(4000);
   bool SawModel = false;
+  std::string Model;
   for (const opts::BuggyCase &Case : opts::allBuggyOptimizations()) {
     for (const LabelDef &Def : Case.Opt.Labels)
       Registry.define(Def);
     CheckReport R = SC.checkOptimization(Case.Opt);
     for (const ObligationResult &Ob : R.Obligations)
       if (Ob.St == ObligationResult::Status::OS_Failed &&
-          !Ob.Counterexample.empty())
+          !Ob.Counterexample.empty()) {
         SawModel = true;
+        Model = Ob.Counterexample;
+      }
     if (SawModel)
       break;
   }
-  EXPECT_TRUE(SawModel);
+  ASSERT_TRUE(SawModel);
+  // The model reads "name = value; name = value; ...".
+  bool NamesPatternOrState = false;
+  for (const char *Prefix : {"mv!", "mi!", "mc!", "me!", "mp!"})
+    NamesPatternOrState |= Model.rfind(Prefix, 0) == 0 ||
+                           Model.find(std::string("; ") + Prefix) !=
+                               std::string::npos;
+  for (const char *Part : {".ix = ", ".env = ", ".scope = ", ".sto = ",
+                           ".alloc = "})
+    NamesPatternOrState |= Model.find(Part) != std::string::npos;
+  EXPECT_TRUE(NamesPatternOrState) << Model;
 }
 
 TEST(RejectionDetailTest, FixedVersionsOfEveryBuggyVariantAreSound) {

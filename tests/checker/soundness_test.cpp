@@ -204,6 +204,84 @@ TEST_F(SoundnessTest, UnknownIsDistinctFromCounterexample) {
   }
 }
 
+TEST_F(SoundnessTest, RlimitExhaustionIsResourceOutNotTimeout) {
+  // Running out of rlimit cancels Z3's search, and Z3 then reports
+  // "canceled", the word it also uses for a wall timeout. The attempt's
+  // rlimit spend, not the reason text, makes it a resource-out.
+  SoundnessChecker SC(Registry, opts::allAnalyses());
+  ProverPolicy Policy;
+  Policy.RLimit = 1000;
+  Policy.Retries = 0;
+  Policy.TimeoutMs = 60000;
+  SC.setPolicy(Policy);
+  CheckReport R = SC.checkOptimization(opts::loadCse());
+
+  EXPECT_EQ(R.V, CheckReport::Verdict::V_Unproven) << R.str();
+  EXPECT_EQ(R.Degradation, support::ErrorKind::EK_ProverResourceOut)
+      << R.str();
+  unsigned Unknown = 0;
+  for (const ObligationResult &Ob : R.Obligations) {
+    EXPECT_NE(Ob.St, ObligationResult::Status::OS_Failed) << Ob.Name;
+    if (!Ob.unknown())
+      continue;
+    ++Unknown;
+    EXPECT_EQ(Ob.Err.Kind, support::ErrorKind::EK_ProverResourceOut)
+        << Ob.Name << ": " << Ob.Err.Message;
+    EXPECT_GE(Ob.RlimitSpent, Policy.RLimit) << Ob.Name;
+  }
+  EXPECT_GT(Unknown, 0u) << R.str();
+}
+
+TEST_F(SoundnessTest, WallTimeoutStaysProverTimeout) {
+  // A 1 ms wall timeout under an rlimit no attempt comes near: every
+  // obligation that gives up is a timeout, not a resource-out.
+  SoundnessChecker SC(Registry, opts::allAnalyses());
+  ProverPolicy Policy;
+  Policy.RLimit = 4'000'000'000ull;
+  Policy.Retries = 0;
+  Policy.InitialTimeoutMs = 1;
+  Policy.TimeoutMs = 1;
+  SC.setPolicy(Policy);
+  CheckReport R = SC.checkOptimization(opts::loadCse());
+
+  EXPECT_NE(R.V, CheckReport::Verdict::V_Unsound) << R.str();
+  unsigned Unknown = 0;
+  for (const ObligationResult &Ob : R.Obligations) {
+    if (!Ob.unknown())
+      continue;
+    ++Unknown;
+    EXPECT_EQ(Ob.Err.Kind, support::ErrorKind::EK_ProverTimeout)
+        << Ob.Name << ": " << Ob.Err.Message;
+  }
+  EXPECT_GT(Unknown, 0u) << R.str();
+}
+
+TEST_F(SoundnessTest, UnknownGuardLabelIsUnprovenWithoutDispatch) {
+  // const_prop's guard names mayDef; this registry does not define it
+  // and no registered analysis produces it. Encoding it as a free
+  // boolean would "refute" the rule, so the check stops before proving.
+  LabelRegistry Bare;
+  SoundnessChecker SC(Bare, opts::allAnalyses());
+  CheckReport R = SC.checkOptimization(opts::constProp());
+
+  EXPECT_EQ(R.V, CheckReport::Verdict::V_Unproven) << R.str();
+  EXPECT_FALSE(R.unsound());
+  ASSERT_EQ(R.Obligations.size(), 1u) << R.str();
+  const ObligationResult &Ob = R.Obligations[0];
+  EXPECT_TRUE(Ob.unknown());
+  EXPECT_EQ(Ob.Attempts, 0u);
+  EXPECT_EQ(Ob.RlimitSpent, 0u);
+  EXPECT_NE(Ob.Err.Message.find("'mayDef'"), std::string::npos)
+      << Ob.Err.Message;
+  EXPECT_TRUE(R.AssumedAnalyses.empty());
+
+  // Defining the label makes the same rule provable: nothing about the
+  // unproven verdict was cached.
+  for (const LabelDef &Def : opts::constProp().Labels)
+    Bare.define(Def);
+  EXPECT_TRUE(SC.checkOptimization(opts::constProp()).Sound);
+}
+
 TEST_F(SoundnessTest, VerdictCacheServesRepeatChecks) {
   SoundnessChecker SC(Registry, opts::allAnalyses());
   CheckReport First = SC.checkOptimization(opts::constProp());

@@ -196,18 +196,23 @@ std::vector<fuzz::FuzzTarget> assembleTargets(const std::string &Suite) {
 }
 
 /// The one service a campaign runs on. It registers every analysis the
-/// targets carry (first definition of a name wins), so --check can prove
-/// each target's optimization against them on the service's prover.
+/// targets carry and defines every label their optimizations' guards use
+/// (first definition of a name wins), so --check can prove each target's
+/// optimization against them on the service's prover.
 std::shared_ptr<api::CobaltService>
 buildService(const api::CobaltConfig &Config,
              const std::vector<fuzz::FuzzTarget> &Targets) {
   api::CobaltService::Builder B;
   B.config(Config);
-  std::set<std::string> Registered;
-  for (const fuzz::FuzzTarget &T : Targets)
+  std::set<std::string> Registered, Defined;
+  for (const fuzz::FuzzTarget &T : Targets) {
     for (const PureAnalysis &A : T.Analyses)
       if (Registered.insert(A.Name).second)
         B.addAnalysis(A);
+    for (const LabelDef &L : T.Opt.Labels)
+      if (Defined.insert(L.Name).second)
+        B.defineLabel(L);
+  }
   return B.build();
 }
 
